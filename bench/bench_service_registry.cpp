@@ -58,7 +58,6 @@ service::DividerRegistry::Options benchOptions() {
   service::DividerRegistry::Options O;
   O.NumShards = 16;
   O.ShardCapacity = 256; // 4096 total: the hot set fits
-  O.UseJit = false;      // keep the measured path host-independent
   return O;
 }
 
@@ -138,7 +137,7 @@ void BM_MutexMapLookup(benchmark::State &State) {
             M;
         for (size_t I = 0; I < HotKeys; ++I) {
           const service::Key K = service::keyFor<uint64_t>(divisorAt(I));
-          M.emplace(K, service::makeDividerEntry(K, false));
+          M.emplace(K, service::makeDividerEntry(K));
         }
         return M;
       }();
@@ -182,7 +181,6 @@ void BM_RegistryAdmitChurn(benchmark::State &State) {
   service::DividerRegistry::Options O;
   O.NumShards = 1;
   O.ShardCapacity = 64;
-  O.UseJit = false;
   service::DividerRegistry R(O);
   uint64_t D = 1;
   for (auto _ : State) {

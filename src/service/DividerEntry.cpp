@@ -9,9 +9,7 @@
 
 #include "batch/BatchDivider.h"
 #include "core/Divider.h"
-#include "jit/JitDivider.h"
 
-#include <optional>
 #include <sstream>
 
 namespace gmdiv {
@@ -55,24 +53,17 @@ template <typename T> class TypedEntry final : public DividerEntry {
   }
 
 public:
-  TypedEntry(const Key &EntryKey, T Divisor, bool UseJit)
-      : DividerEntry(EntryKey), Ref(Divisor), Batch(Divisor) {
-    if (UseJit)
-      Jit.emplace(Divisor);
-    JitFast = Jit && Jit->usesJit();
-  }
+  TypedEntry(const Key &EntryKey, T Divisor)
+      : DividerEntry(EntryKey), Ref(Divisor), Batch(Divisor) {}
 
   uint64_t divideBits(uint64_t NBits) const override {
-    const T N = fromBits(NBits);
-    return toBits(JitFast ? Jit->divide(N) : Ref.divide(N));
+    return toBits(Ref.divide(fromBits(NBits)));
   }
   uint64_t remainderBits(uint64_t NBits) const override {
-    const T N = fromBits(NBits);
-    return toBits(JitFast ? Jit->remainder(N) : Ref.remainder(N));
+    return toBits(Ref.remainder(fromBits(NBits)));
   }
   std::pair<uint64_t, uint64_t> divRemBits(uint64_t NBits) const override {
-    const T N = fromBits(NBits);
-    const auto [Q, R] = JitFast ? Jit->divRem(N) : Ref.divRem(N);
+    const auto [Q, R] = Ref.divRem(fromBits(NBits));
     return {toBits(Q), toBits(R)};
   }
 
@@ -89,58 +80,53 @@ public:
                  static_cast<T *>(Rem), Count);
   }
 
-  bool usesJit() const override { return JitFast; }
   const char *batchBackend() const override {
     return batch::backendName(Batch.backend());
   }
   std::string describe() const override {
     std::ostringstream OS;
-    OS << key().describe() << " scalar=" << (JitFast ? "jit" : "divider")
-       << " batch=" << batchBackend();
+    OS << key().describe() << " batch=" << batchBackend();
     return OS.str();
   }
 
 private:
   Scalar Ref;
   batch::BatchDivider<T> Batch;
-  std::optional<jit::JitDivider<T>> Jit;
-  bool JitFast = false;
 };
 
 template <typename T>
-std::shared_ptr<const DividerEntry> makeTyped(const Key &K, bool UseJit) {
+std::shared_ptr<const DividerEntry> makeTyped(const Key &K) {
   using U = std::make_unsigned_t<T>;
   const T Divisor = static_cast<T>(static_cast<U>(K.DivisorBits));
-  return std::make_shared<TypedEntry<T>>(K, Divisor, UseJit);
+  return std::make_shared<TypedEntry<T>>(K, Divisor);
 }
 
 } // namespace
 
-std::shared_ptr<const DividerEntry> makeDividerEntry(const Key &K,
-                                                     bool UseJit) {
+std::shared_ptr<const DividerEntry> makeDividerEntry(const Key &K, bool) {
   if (!K.valid())
     return nullptr;
   if (K.Kind == OpKind::Unsigned) {
     switch (K.WordBits) {
     case 8:
-      return makeTyped<uint8_t>(K, UseJit);
+      return makeTyped<uint8_t>(K);
     case 16:
-      return makeTyped<uint16_t>(K, UseJit);
+      return makeTyped<uint16_t>(K);
     case 32:
-      return makeTyped<uint32_t>(K, UseJit);
+      return makeTyped<uint32_t>(K);
     case 64:
-      return makeTyped<uint64_t>(K, UseJit);
+      return makeTyped<uint64_t>(K);
     }
   } else {
     switch (K.WordBits) {
     case 8:
-      return makeTyped<int8_t>(K, UseJit);
+      return makeTyped<int8_t>(K);
     case 16:
-      return makeTyped<int16_t>(K, UseJit);
+      return makeTyped<int16_t>(K);
     case 32:
-      return makeTyped<int32_t>(K, UseJit);
+      return makeTyped<int32_t>(K);
     case 64:
-      return makeTyped<int64_t>(K, UseJit);
+      return makeTyped<int64_t>(K);
     }
   }
   return nullptr;

@@ -6,10 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One registry entry owns every precomputed form the repo has for a
+/// One registry entry owns the precomputed forms that serve a
 /// (kind, width, divisor) triple: the core Divider (Figure 4.1/5.1
-/// state), the BatchDivider (SIMD array kernels) and, when available,
-/// the JitDivider (native compiled sequences in the shared CodeCache).
+/// state) for scalar calls and the BatchDivider (SIMD array kernels)
+/// for array calls. Building one is the paper's "precompute once"
+/// step and nothing more — no code generation, no compilation, no
+/// executable pages (docs/SERVICE.md has the measured reason).
 /// The registry stores entries type-erased behind this interface so
 /// one shard table serves all eight lane types; callers that know
 /// their lane type get it back through the divide<T>() templates,
@@ -65,9 +67,6 @@ public:
   virtual void divRemArray(const void *In, void *Quot, void *Rem,
                            size_t Count) const = 0;
 
-  /// True when scalar calls run the JIT-compiled sequence (false on
-  /// interp fallback or when the registry was built with UseJit off).
-  virtual bool usesJit() const = 0;
   /// Active batch backend name ("avx2", "sse2", "scalar", ...).
   virtual const char *batchBackend() const = 0;
   /// Human-readable summary for the tool: key, backends, magic state.
@@ -100,13 +99,12 @@ private:
   Key K;
 };
 
-/// Builds the entry for \p K (which must be valid()): precomputes the
-/// core divider and batch state, and compiles/caches the JIT sequences
-/// when \p UseJit is set and the host supports it. Never fails for a
-/// valid key — hosts without the JIT backend fall back to the
-/// interpreter inside JitDivider, and UseJit=false skips JIT entirely.
+/// Builds the entry for \p K: precomputes the core divider and the
+/// batch state. Returns null for an invalid key. The bool parameter is
+/// ignored; admission never compiles code; kept so existing callers
+/// build.
 std::shared_ptr<const DividerEntry> makeDividerEntry(const Key &K,
-                                                     bool UseJit);
+                                                     bool = false);
 
 } // namespace service
 } // namespace gmdiv

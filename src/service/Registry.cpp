@@ -24,11 +24,6 @@ size_t envSize(const char *Name, size_t Default) {
   return Parsed > 0 ? static_cast<size_t>(Parsed) : Default;
 }
 
-bool envFlag(const char *Name) {
-  const char *V = std::getenv(Name);
-  return V && *V && *V != '0';
-}
-
 } // namespace
 
 DividerRegistry::Options DividerRegistry::Options::fromEnv() {
@@ -36,7 +31,6 @@ DividerRegistry::Options DividerRegistry::Options::fromEnv() {
   O.NumShards = envSize("GMDIV_SERVICE_SHARDS", O.NumShards);
   O.ShardCapacity =
       envSize("GMDIV_SERVICE_SHARD_CAPACITY", O.ShardCapacity);
-  O.UseJit = !envFlag("GMDIV_SERVICE_NO_JIT");
   O.SampleEvery = static_cast<uint32_t>(
       envSize("GMDIV_SERVICE_SAMPLE", O.SampleEvery));
   O.TopKSlots = prof::topKCapacityFromEnv(O.TopKSlots);
@@ -47,7 +41,6 @@ DividerRegistry::DividerRegistry(Options Opts)
     : Shards(cache::ceilPow2(std::max<size_t>(1, Opts.NumShards))),
       ShardCapacity(std::max<size_t>(1, Opts.ShardCapacity)),
       BucketsPerShard(cache::ceilPow2(std::max<size_t>(8, ShardCapacity * 2))),
-      UseJit(Opts.UseJit),
       SampleMask(static_cast<uint32_t>(
           cache::ceilPow2(std::max<uint32_t>(1, Opts.SampleEvery)) - 1)),
       HotKeys(Opts.TopKSlots) {
@@ -146,7 +139,7 @@ DividerRegistry::EntryHandle DividerRegistry::acquire(const Key &K) {
   const Table *Cur = S.Current.load(std::memory_order_relaxed);
   if (const Bucket *B = Cur->find(K, H)) {
     // Late hit: another thread admitted the key between our probe and
-    // the lock. Compile-once means this counts as a hit, keeping
+    // the lock. Build-once means this counts as a hit, keeping
     // Misses == Inserts exact.
     S.Hits.inc();
     return B->E;
@@ -154,7 +147,7 @@ DividerRegistry::EntryHandle DividerRegistry::acquire(const Key &K) {
 
   S.Misses.inc();
   const uint64_t Admit0 = steadyNs();
-  EntryHandle E = makeDividerEntry(K, UseJit);
+  EntryHandle E = makeDividerEntry(K);
   AdmitNsAll.record(steadyNs() - Admit0);
   E->LastUseNs.store(steadyNs(), std::memory_order_relaxed);
 

@@ -19,7 +19,7 @@
 /// a mutex: it pins the epoch domain (service/Epoch.h), loads the
 /// published table, probes, and copies out the entry's shared_ptr.
 /// Writers (acquire() on a miss) serialize on a per-shard mutex,
-/// re-probe (compile-once: latecomers on the same key become "late
+/// re-probe (build-once: latecomers on the same key become "late
 /// hits"), build the entry, then publish a rebuilt table copy-on-write
 /// and retire the old one through the epoch domain.
 ///
@@ -68,8 +68,8 @@ public:
     size_t NumShards = 16;
     /// Entries per shard; total capacity is the product.
     size_t ShardCapacity = 256;
-    /// Precompile JIT sequences on admission (JitDivider still falls
-    /// back to the interpreter on unsupported hosts / GMDIV_NO_JIT).
+    /// Ignored; admission never compiles code; kept so existing
+    /// callers build.
     bool UseJit = true;
     /// Recency-stamp + latency-histogram sampling period, rounded up
     /// to a power of two. 1 = every hit (deterministic LRU, used by
@@ -80,7 +80,7 @@ public:
     size_t TopKSlots = 32;
 
     /// Reads GMDIV_SERVICE_SHARDS, GMDIV_SERVICE_SHARD_CAPACITY,
-    /// GMDIV_SERVICE_NO_JIT, GMDIV_SERVICE_SAMPLE, GMDIV_TOPK.
+    /// GMDIV_SERVICE_SAMPLE, GMDIV_TOPK.
     static Options fromEnv();
   };
 
@@ -93,12 +93,12 @@ public:
   ~DividerRegistry();
 
   /// Lock-free hit path: returns the entry for \p K or null (miss or
-  /// invalid key). Never compiles, never blocks on a writer.
+  /// invalid key). Never admits, never blocks on a writer.
   EntryHandle lookup(const Key &K);
 
   /// Lookup-or-admit. On a miss, takes the shard writer lock,
   /// re-probes (another thread may have admitted the key — that is a
-  /// hit, not a second compile), builds the entry once and publishes
+  /// hit, not a second build), builds the entry once and publishes
   /// it. Returns null only for invalid keys.
   EntryHandle acquire(const Key &K);
 
@@ -162,7 +162,7 @@ public:
 
   /// Sampled hit-path lookup latency (ns), aggregated over shards.
   const metrics::Histogram &lookupLatency() const { return LookupNsAll; }
-  /// Entry-construction latency (ns): core + batch precompute + JIT.
+  /// Entry-construction latency (ns): core + batch precompute.
   const metrics::Histogram &admitLatency() const { return AdmitNsAll; }
 
   /// Registers per-shard hit/miss/insert/eviction counters, occupancy
@@ -244,7 +244,6 @@ private:
   std::vector<Shard> Shards;
   size_t ShardCapacity;
   size_t BucketsPerShard;
-  bool UseJit;
   uint32_t SampleMask;
   /// Space-saving sketch of the hottest keys (its own mutex; touched
   /// only on sampled hits and admissions, never the common hit path).

@@ -35,6 +35,7 @@
 #include "jit/JitDivider.h"
 #include "metrics/Metrics.h"
 #include "ops/SmallWord.h"
+#include "service/Registry.h"
 #include "telemetry/Json.h"
 #include "telemetry/Remarks.h"
 #include "telemetry/Stats.h"
@@ -117,6 +118,7 @@ enum Property : int {
   PJitBatchU,
   PJitBatchS,
   PJitBatchDivis,
+  PServiceScalar,
   PropertyEnd,
 };
 
@@ -168,6 +170,10 @@ constexpr PropertyInfo PropertyTable[PropertyEnd] = {
     {"jit-batch-unsigned", false, false},
     {"jit-batch-signed", true, false},
     {"jit-batch-divisible", false, false},
+    // The composed served path: DividerRegistry::acquire -> DividerEntry
+    // scalar and array calls, both key kinds per (width, d). Repros
+    // carry bit patterns; a replay checks both kinds.
+    {"service-scalar", false, false},
 };
 
 int propertyIndex(const std::string &Name) {
@@ -365,6 +371,57 @@ template <typename F> void withUWord(int WordBits, F &&Fn) {
 bool widthSupported(int WordBits) {
   return (WordBits >= 4 && WordBits <= 12) || WordBits == 16 ||
          WordBits == 32 || WordBits == 64;
+}
+
+//===----------------------------------------------------------------------===//
+// Served path
+//===----------------------------------------------------------------------===//
+
+/// Registry the service-scalar property admits through: private and
+/// small, so sweeps exercise admission and eviction without touching
+/// DividerRegistry::global() or depending on GMDIV_SERVICE_* knobs.
+/// Leaked like global(): no thread may be inside it at exit.
+service::DividerRegistry &verifyRegistry() {
+  static service::DividerRegistry *Registry = [] {
+    service::DividerRegistry::Options O;
+    O.NumShards = 4;
+    O.ShardCapacity = 16;
+    return new service::DividerRegistry(O);
+  }();
+  return *Registry;
+}
+
+/// The composed served path for one native width and divisor bit
+/// pattern, over dividend bit patterns \p Ns: the unsigned and the
+/// signed registry entry, each through its scalar calls (divideBits /
+/// remainderBits / divRemBits) and array calls (divideArray /
+/// remainderArray / divRemArray), all against the Oracle.
+template <typename UWord>
+void checkServedPath(Reporter &R, uint64_t DBits, const Oracle &OU,
+                     const Oracle &OS, const std::vector<uint64_t> &Ns) {
+  const size_t Count = Ns.size();
+  std::vector<UWord> In(Count), Q(Count), Rm(Count), Q2(Count), Rm2(Count);
+  for (size_t I = 0; I < Count; ++I)
+    In[I] = static_cast<UWord>(Ns[I]);
+  for (const Oracle *O : {&OU, &OS}) {
+    const auto E = verifyRegistry().acquire(
+        {O->isSigned() ? service::OpKind::Signed : service::OpKind::Unsigned,
+         static_cast<uint8_t>(sizeof(UWord) * 8), DBits});
+    E->divideArray(In.data(), Q.data(), Count);
+    E->remainderArray(In.data(), Rm.data(), Count);
+    E->divRemArray(In.data(), Q2.data(), Rm2.data(), Count);
+    for (size_t I = 0; I < Count; ++I) {
+      const uint64_t N = In[I];
+      const DivRef Ref = O->ref(N);
+      const auto [SQ, SR] = E->divRemBits(N);
+      for (const uint64_t Got : {E->divideBits(N), SQ, uint64_t{Q[I]},
+                                 uint64_t{Q2[I]}})
+        R.check(PServiceScalar, Ref.TruncQ, Got, DBits, N);
+      for (const uint64_t Got : {E->remainderBits(N), SR, uint64_t{Rm[I]},
+                                 uint64_t{Rm2[I]}})
+        R.check(PServiceScalar, Ref.TruncR, Got, DBits, N);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -885,6 +942,14 @@ public:
     }
   }
 
+  /// The served path over \p Ns, native widths only.
+  void checkService(const std::vector<uint64_t> &Ns) {
+    if constexpr (Native)
+      checkServedPath<UWord>(R, DBits, OU, OS, Ns);
+    else
+      (void)Ns;
+  }
+
   /// The runtime-emitted vector loops (the kernels behind
   /// jit::JitBatchDivider) against the Oracle. Unlike checkBatch this
   /// runs at *every* emittable width, not just native ones: any N in
@@ -1249,6 +1314,63 @@ VerifyReport verify::verifyWidth(int WordBits) {
         Checker.checkN(N);
       Checker.checkBatch(AllN);
       Checker.checkJitBatch(AllN);
+      Checker.checkService(AllN);
+    }
+  });
+  return R.take();
+}
+
+namespace {
+
+/// Dividends where a served-path bug would show first for divisor bit
+/// pattern \p D: the ends of the range, the sign boundary, and the
+/// neighbours of multiples of d and of |d| (bit patterns, so one set
+/// serves the unsigned and the signed key).
+std::vector<uint64_t> boundaryDividends(uint64_t D, int WordBits) {
+  const uint64_t Mask = maskFor(WordBits);
+  const uint64_t SignBit = uint64_t{1} << (WordBits - 1);
+  const int64_t DS = signExtend64(D, WordBits);
+  const uint64_t AbsD = DS < 0 ? 0 - static_cast<uint64_t>(DS) : DS;
+  const uint64_t TopS = (SignBit - 1) - (SignBit - 1) % AbsD;
+  std::vector<uint64_t> Ns;
+  for (const uint64_t C : {uint64_t{0}, D, 2 * D, Mask - Mask % D, SignBit,
+                           AbsD, 0 - AbsD, TopS, 0 - TopS})
+    for (const uint64_t Delta : {uint64_t{0}, uint64_t{1}, ~uint64_t{0}})
+      Ns.push_back((C + Delta) & Mask);
+  return Ns;
+}
+
+} // namespace
+
+VerifyReport verify::verifyServiceWidth(int WordBits) {
+  assert((WordBits == 8 || WordBits == 16) &&
+         "service sweeps are sized for N = 8 and 16");
+  GMDIV_TRACE_SPAN("verify", "verifyServiceWidth",
+                   static_cast<uint64_t>(WordBits));
+  Reporter R(WordBits);
+  withUWord(WordBits, [&]<typename UWord>() {
+    if constexpr (std::is_integral_v<UWord>) {
+      const uint64_t Mask = maskFor(WordBits);
+      std::vector<uint64_t> AllN(static_cast<size_t>(Mask) + 1);
+      for (uint64_t N = 0; N <= Mask; ++N)
+        AllN[N] = N;
+      // Every dividend for every divisor at N = 8; at N = 16 only for
+      // the smallest magnitudes of both signs and for 2^k, 2^k +- 1 of
+      // both signs (all 2^32 pairs would take minutes).
+      const auto NearPow2 = [](uint64_t X) {
+        return isPowerOf2(X) || isPowerOf2(X - 1) || isPowerOf2(X + 1);
+      };
+      const auto Gallery = [&](uint64_t D) {
+        const uint64_t Neg = (0 - D) & Mask;
+        return WordBits == 8 || D < 32 || Neg < 32 || NearPow2(D) ||
+               NearPow2(Neg);
+      };
+      for (uint64_t D = 1; D <= Mask; ++D) {
+        const Oracle OU(WordBits, D, /*IsSigned=*/false);
+        const Oracle OS(WordBits, D, /*IsSigned=*/true);
+        checkServedPath<UWord>(
+            R, D, OU, OS, Gallery(D) ? AllN : boundaryDividends(D, WordBits));
+      }
     }
   });
   return R.take();
@@ -1271,6 +1393,7 @@ VerifyReport verify::checkDivisor(
         Checker.checkDwordPair(High & Mask, Low & Mask);
     Checker.checkBatch(Ns);
     Checker.checkJitBatch(Ns);
+    Checker.checkService(Ns);
   });
   return R.take();
 }
@@ -1309,6 +1432,8 @@ bool verify::checkOne(const Repro &R, std::string *DetailOut) {
         Checker.checkBatch({R.NBits & Mask});
       if (R.Property.compare(0, 10, "jit-batch-") == 0)
         Checker.checkJitBatch({R.NBits & Mask});
+      if (R.Property == "service-scalar")
+        Checker.checkService({R.NBits & Mask});
     }
   });
   const VerifyReport Report = Rep.take();

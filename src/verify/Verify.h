@@ -84,6 +84,16 @@ inline constexpr size_t FailureCap = 32;
 /// over all divisors and all dividends.
 VerifyReport verifyWidth(int WordBits);
 
+/// The service-scalar property alone at native width \p WordBits (8 or
+/// 16): every divisor of both key kinds is admitted through a
+/// DividerRegistry and its entry's scalar and array calls are checked
+/// against the Oracle. N = 8 covers every (n, d) pair. N = 16 covers
+/// each axis in full instead of all 2^32 pairs: every divisor over a
+/// boundary dividend set, and every dividend for the smallest divisors
+/// of both signs and all powers of two and their neighbours. (The
+/// fuzzer covers 32 and 64 through checkDivisor.)
+VerifyReport verifyServiceWidth(int WordBits);
+
 /// Checks one divisor over the given dividend bit patterns: all scalar
 /// dividers and generated sequences per dividend, the per-divisor
 /// CHOOSE_MULTIPLIER / doubleword checks once, \p DwordPairs as extra

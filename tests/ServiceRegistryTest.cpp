@@ -21,6 +21,7 @@
 #include "service/Registry.h"
 
 #include "core/Divider.h"
+#include "jit/JitCache.h"
 #include "metrics/Metrics.h"
 
 #include <algorithm>
@@ -42,12 +43,10 @@ uint64_t splitmix(uint64_t &State) {
   return cache::mixBits(State);
 }
 
-DividerRegistry::Options smallOptions(size_t Shards, size_t Capacity,
-                                      bool UseJit = false) {
+DividerRegistry::Options smallOptions(size_t Shards, size_t Capacity) {
   DividerRegistry::Options O;
   O.NumShards = Shards;
   O.ShardCapacity = Capacity;
-  O.UseJit = UseJit;
   O.SampleEvery = 1; // deterministic recency stamps for LRU tests
   return O;
 }
@@ -193,8 +192,15 @@ template <typename T> void expectAgreesWithCore(DividerRegistry &R) {
   }
 }
 
-TEST(ServiceRegistry, EntriesAgreeWithCoreDividersNoJit) {
-  DividerRegistry R(smallOptions(8, 64, /*UseJit=*/false));
+// Options::UseJit is ignored (admission never compiles code), so either
+// setting must serve core-divider results on all eight lane types and
+// leave the JIT code cache untouched. The INT_MIN dividend pattern with
+// d = -1 covers the signed wrap case at every width.
+void expectAllLanesAgreeWithCore(bool LegacyUseJit) {
+  DividerRegistry::Options O = smallOptions(8, 64);
+  O.UseJit = LegacyUseJit;
+  DividerRegistry R(O);
+  const cache::CacheStats Before = jit::CodeCache::global().stats();
   expectAgreesWithCore<uint8_t>(R);
   expectAgreesWithCore<uint16_t>(R);
   expectAgreesWithCore<uint32_t>(R);
@@ -203,21 +209,21 @@ TEST(ServiceRegistry, EntriesAgreeWithCoreDividersNoJit) {
   expectAgreesWithCore<int16_t>(R);
   expectAgreesWithCore<int32_t>(R);
   expectAgreesWithCore<int64_t>(R);
+  const cache::CacheStats After = jit::CodeCache::global().stats();
+  EXPECT_EQ(After.Inserts - Before.Inserts, 0u);
+  EXPECT_EQ(After.Misses - Before.Misses, 0u);
+}
+
+TEST(ServiceRegistry, EntriesAgreeWithCoreDividersNoJit) {
+  expectAllLanesAgreeWithCore(/*LegacyUseJit=*/false);
 }
 
 TEST(ServiceRegistry, EntriesAgreeWithCoreDividersJit) {
-  // On hosts without the JIT backend (or GMDIV_NO_JIT=1) the entries
-  // fall back to the interpreter inside JitDivider; agreement must
-  // hold either way.
-  DividerRegistry R(smallOptions(8, 64, /*UseJit=*/true));
-  expectAgreesWithCore<uint32_t>(R);
-  expectAgreesWithCore<uint64_t>(R);
-  expectAgreesWithCore<int32_t>(R);
-  expectAgreesWithCore<int64_t>(R);
+  expectAllLanesAgreeWithCore(/*LegacyUseJit=*/true);
 }
 
 TEST(ServiceRegistry, SignedWrapCaseAgreesWithCore) {
-  DividerRegistry R(smallOptions(1, 8, /*UseJit=*/true));
+  DividerRegistry R(smallOptions(1, 8));
   const auto E = R.acquireFor<int32_t>(-1);
   ASSERT_NE(E, nullptr);
   const SignedDivider<int32_t> Ref(-1);
@@ -225,8 +231,53 @@ TEST(ServiceRegistry, SignedWrapCaseAgreesWithCore) {
   EXPECT_EQ(E->divide<int32_t>(Min), Ref.divide(Min)); // wraps, no trap
 }
 
+template <typename T>
+void admitAndCheckScalars(DividerRegistry &R, int64_t DRaw, uint64_t &Rng) {
+  using U = std::make_unsigned_t<T>;
+  using Ref = std::conditional_t<std::is_signed_v<T>, SignedDivider<T>,
+                                 UnsignedDivider<T>>;
+  const T D = static_cast<T>(DRaw);
+  const auto E = R.acquireFor<T>(D);
+  ASSERT_NE(E, nullptr);
+  const Ref Core(D);
+  for (int I = 0; I < 16; ++I) {
+    const uint64_t NBits = static_cast<U>(splitmix(Rng));
+    const T N = static_cast<T>(static_cast<U>(NBits));
+    const uint64_t Q = static_cast<U>(Core.divide(N));
+    const uint64_t Rem = static_cast<U>(Core.remainder(N));
+    EXPECT_EQ(E->divideBits(NBits), Q) << E->describe() << " n=" << NBits;
+    EXPECT_EQ(E->remainderBits(NBits), Rem) << E->describe();
+    EXPECT_EQ(E->divRemBits(NBits), std::make_pair(Q, Rem))
+        << E->describe();
+  }
+}
+
+TEST(ServiceRegistry, AdmissionNeverTouchesTheJitCodeCache) {
+  // Admission is core + batch precompute only: 64 fresh keys over all
+  // eight lane types must not compile, look up or insert anything in
+  // the process-wide JIT code cache.
+  DividerRegistry R(smallOptions(4, 64));
+  const cache::CacheStats Before = jit::CodeCache::global().stats();
+  uint64_t Rng = 0x5eed;
+  for (const int64_t D : {3, 7, 10, 641, -5, -9, -100, 127}) {
+    admitAndCheckScalars<uint8_t>(R, D, Rng);
+    admitAndCheckScalars<uint16_t>(R, D, Rng);
+    admitAndCheckScalars<uint32_t>(R, D, Rng);
+    admitAndCheckScalars<uint64_t>(R, D, Rng);
+    admitAndCheckScalars<int8_t>(R, D, Rng);
+    admitAndCheckScalars<int16_t>(R, D, Rng);
+    admitAndCheckScalars<int32_t>(R, D, Rng);
+    admitAndCheckScalars<int64_t>(R, D, Rng);
+  }
+  const cache::CacheStats After = jit::CodeCache::global().stats();
+  EXPECT_EQ(R.stats().Inserts, 64u);
+  EXPECT_EQ(After.Inserts - Before.Inserts, 0u);
+  EXPECT_EQ(After.Misses - Before.Misses, 0u);
+  EXPECT_EQ(After.Hits - Before.Hits, 0u);
+}
+
 TEST(ServiceRegistry, ArrayOpsMatchScalarLoops) {
-  DividerRegistry R(smallOptions(2, 16, /*UseJit=*/false));
+  DividerRegistry R(smallOptions(2, 16));
   const auto E = R.acquireFor<uint32_t>(7);
   ASSERT_NE(E, nullptr);
 
@@ -253,14 +304,15 @@ TEST(ServiceRegistry, ArrayOpsMatchScalarLoops) {
 //===----------------------------------------------------------------------===//
 
 TEST(ServiceRegistry, EightThreadCompileOncePerKey) {
-  // Eight threads race acquire() over the same key set (JIT precompute
-  // on, so admission is expensive enough to overlap). Every thread
-  // must observe the same entry per key, and each key must be built
-  // exactly once.
+  // Eight threads race acquire() over the same key set from a common
+  // start gate, so first admissions of a key collide on its shard's
+  // writer lock and the re-probe must turn latecomers into hits. Every
+  // thread must observe the same entry per key, and each key must be
+  // built exactly once.
   constexpr size_t Threads = 8;
   constexpr size_t NumKeys = 24;
   constexpr size_t Rounds = 50;
-  DividerRegistry R(smallOptions(4, 64, /*UseJit=*/true));
+  DividerRegistry R(smallOptions(4, 64));
 
   std::vector<Key> Keys;
   for (size_t I = 0; I < NumKeys; ++I)
@@ -306,7 +358,7 @@ TEST(ServiceRegistry, CountersExactUnderContention) {
   constexpr size_t Threads = 8;
   constexpr size_t NumKeys = 32;
   constexpr size_t Rounds = 400;
-  DividerRegistry R(smallOptions(8, 64, /*UseJit=*/false));
+  DividerRegistry R(smallOptions(8, 64));
 
   std::vector<std::thread> Pool;
   for (size_t T = 0; T < Threads; ++T) {

@@ -8,10 +8,11 @@
 /// \file
 /// The heavyweight end of the differential harness: every property at
 /// N in [9, 12] over the complete (n, d) state space — about 17 million
-/// input pairs and 800 million comparisons at N = 12. Widths 4 through
-/// 8 run in VerifyHarnessTest.cpp so the fast suite still exercises the
-/// machinery; these carry the `exhaustive` ctest label and a longer
-/// timeout.
+/// input pairs and 800 million comparisons at N = 12 — and the
+/// service-scalar property through the registry at N = 8 and 16. Widths
+/// 4 through 8 run in VerifyHarnessTest.cpp so the fast suite still
+/// exercises the machinery; these carry the `exhaustive` ctest label
+/// and a longer timeout.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,5 +34,18 @@ TEST(VerifyExhaustive, Width9) { expectWidthClean(9); }
 TEST(VerifyExhaustive, Width10) { expectWidthClean(10); }
 TEST(VerifyExhaustive, Width11) { expectWidthClean(11); }
 TEST(VerifyExhaustive, Width12) { expectWidthClean(12); }
+
+void expectServiceWidthClean(int WordBits) {
+  const VerifyReport Report = verifyServiceWidth(WordBits);
+  EXPECT_GT(Report.checks(), 0u);
+  EXPECT_EQ(Report.checks(), Report.Properties.back().Checks)
+      << "only service-scalar runs in a service sweep";
+  EXPECT_TRUE(Report.clean()) << reportJson(Report);
+}
+
+TEST(VerifyServiceScalar, Exhaustive8) { expectServiceWidthClean(8); }
+TEST(VerifyServiceScalar, Width16EachAxis) {
+  expectServiceWidthClean(16);
+}
 
 } // namespace

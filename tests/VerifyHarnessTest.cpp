@@ -213,6 +213,10 @@ TEST(VerifyRepro, CheckOnePassesOnCorrectCode) {
            "gmdiv:v1:codegen-floor:N=32:d=10:n=-2147483648",
            "gmdiv:v1:dword-divider:N=32:d=1000003:n=12345:n2=999999",
            "gmdiv:v1:batch-unsigned:N=8:d=3:n=200",
+           // INT64_MIN bit pattern over the all-ones divisor: the signed
+           // entry's -1 wrap case.
+           "gmdiv:v1:service-scalar:N=64:d=18446744073709551615:"
+           "n=9223372036854775808",
        }) {
     Repro R;
     ASSERT_TRUE(parseRepro(Text, R)) << Text;
@@ -374,6 +378,27 @@ TEST(VerifyFuzzer, SmokeRunsClean) {
   EXPECT_EQ(Report.PerWidth[2].WordBits, 64);
   for (const VerifyReport &PerWidth : Report.PerWidth)
     EXPECT_GT(PerWidth.checks(), 0u);
+}
+
+TEST(VerifyFuzzer, ServiceScalarRunsAtEveryFuzzedWidth) {
+  // The composed served path (registry -> entry -> scalar and array
+  // calls) is fuzzed at 16/32/64 through the same checker.
+  FuzzOptions Options;
+  Options.MaxRounds = 2;
+  Options.Seconds = 300;
+  Options.Seed = 7;
+  const FuzzReport Report = runFuzzer(Options);
+  for (const VerifyReport &PerWidth : Report.PerWidth) {
+    bool Found = false;
+    for (const PropertyCount &P : PerWidth.Properties) {
+      if (P.Name != "service-scalar")
+        continue;
+      Found = true;
+      EXPECT_GT(P.Checks, 0u) << "N=" << PerWidth.WordBits;
+      EXPECT_EQ(P.Mismatches, 0u) << "N=" << PerWidth.WordBits;
+    }
+    EXPECT_TRUE(Found);
+  }
 }
 
 TEST(VerifyFuzzer, DeterministicGivenSeed) {
