@@ -15,9 +15,13 @@
 //                                  one unordered_map behind one mutex.
 //   RegistryAcquireHot/threads:N   acquire() when every key is already
 //                                  resident (hit path + key packing).
-//   RegistryAdmitChurn             cold admissions at capacity: entry
-//                                  build + copy-on-write rebuild +
-//                                  eviction + epoch retirement.
+//   RegistryAdmitChurn             cold admissions into a full
+//                                  64-entry shard: entry build +
+//                                  in-place insert + eviction + epoch
+//                                  retirement + amortized rebuilds.
+//   RegistryAdmitChurnDefaultCapacity
+//                                  the same at the default 256 entries
+//                                  per shard (perfbench churn's shape).
 //   BatchSubmitPipeline            32 in-flight 4096-lane jobs through
 //                                  the async front door (2 workers).
 //
@@ -175,12 +179,13 @@ BENCHMARK(BM_RegistryAcquireHot)->Threads(1)->Threads(16)->UseRealTime();
 // Cold admissions at capacity
 //===----------------------------------------------------------------------===//
 
-void BM_RegistryAdmitChurn(benchmark::State &State) {
-  // Tiny registry, fresh divisor every iteration: each admission pays
-  // entry precompute + table rebuild + eviction + epoch retirement.
+void admitChurn(benchmark::State &State, size_t Capacity) {
+  // One full shard, fresh divisor every iteration: each admission pays
+  // entry precompute + insert + eviction + epoch retirement, plus its
+  // share of the threshold rebuilds.
   service::DividerRegistry::Options O;
   O.NumShards = 1;
-  O.ShardCapacity = 64;
+  O.ShardCapacity = Capacity;
   service::DividerRegistry R(O);
   uint64_t D = 1;
   for (auto _ : State) {
@@ -189,7 +194,14 @@ void BM_RegistryAdmitChurn(benchmark::State &State) {
   }
   State.SetItemsProcessed(State.iterations());
 }
+
+void BM_RegistryAdmitChurn(benchmark::State &State) { admitChurn(State, 64); }
 BENCHMARK(BM_RegistryAdmitChurn);
+
+void BM_RegistryAdmitChurnDefaultCapacity(benchmark::State &State) {
+  admitChurn(State, service::DividerRegistry::Options().ShardCapacity);
+}
+BENCHMARK(BM_RegistryAdmitChurnDefaultCapacity);
 
 //===----------------------------------------------------------------------===//
 // Async batch front door

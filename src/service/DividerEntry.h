@@ -18,10 +18,11 @@
 /// callers that don't (the batch front door, the tool) use the
 /// bit-pattern and array virtuals.
 ///
-/// Entries are immutable after construction — the only mutable field
-/// is the LastUseNs recency stamp, an atomic the registry refreshes on
-/// sampled hits — so sharing them across threads with no further
-/// synchronization is safe.
+/// Entries are fully immutable after construction (the registry keeps
+/// recency stamps in its own slot table), so sharing them across
+/// threads with no further synchronization is safe. They are always
+/// owned by a shared_ptr, which lets the registry hand out a handle
+/// from the raw pointer it probes (shared_from_this()).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +31,6 @@
 
 #include "service/Key.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -40,7 +40,7 @@
 namespace gmdiv {
 namespace service {
 
-class DividerEntry {
+class DividerEntry : public std::enable_shared_from_this<DividerEntry> {
 public:
   virtual ~DividerEntry() = default;
 
@@ -87,10 +87,6 @@ public:
     return static_cast<T>(static_cast<U>(
         remainderBits(static_cast<uint64_t>(static_cast<U>(N)))));
   }
-
-  /// Approximate-LRU recency stamp (ns on the registry's steady
-  /// clock), refreshed on sampled hits; see Registry.h.
-  mutable std::atomic<uint64_t> LastUseNs{0};
 
 protected:
   explicit DividerEntry(const Key &EntryKey) : K(EntryKey) {}

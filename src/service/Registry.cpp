@@ -41,6 +41,7 @@ DividerRegistry::DividerRegistry(Options Opts)
     : Shards(cache::ceilPow2(std::max<size_t>(1, Opts.NumShards))),
       ShardCapacity(std::max<size_t>(1, Opts.ShardCapacity)),
       BucketsPerShard(cache::ceilPow2(std::max<size_t>(8, ShardCapacity * 2))),
+      MaxUsedSlots(BucketsPerShard / 4 * 3),
       SampleMask(static_cast<uint32_t>(
           cache::ceilPow2(std::max<uint32_t>(1, Opts.SampleEvery)) - 1)),
       HotKeys(Opts.TopKSlots) {
@@ -55,12 +56,9 @@ DividerRegistry::~DividerRegistry() {
   if (CollectorHandle != 0)
     metrics::Registry::global().removeCollector(CollectorHandle);
   // Destruction contract: no concurrent readers. Everything retired is
-  // past its grace period by definition.
-  for (Shard &S : Shards) {
+  // past its grace period by definition; RetiredList frees itself.
+  for (Shard &S : Shards)
     delete S.Current.load(std::memory_order_acquire);
-    for (const Retired &R : S.RetiredTables)
-      delete R.T;
-  }
 }
 
 uint64_t DividerRegistry::steadyNs() {
@@ -92,14 +90,17 @@ DividerRegistry::EntryHandle DividerRegistry::lookup(const Key &K) {
   EntryHandle E;
   {
     EpochDomain::Guard G(EpochDomain::global());
-    const Table *T = S.Current.load(std::memory_order_seq_cst);
-    if (const Bucket *B = T->find(K, H))
-      E = B->E;
+    Table *T = S.Current.load(std::memory_order_seq_cst);
+    uint64_t I;
+    if (const DividerEntry *Found = T->find(K, H, I)) {
+      E = Found->shared_from_this();
+      if (Sampled)
+        T->touch(I, Found, T0);
+    }
   }
   if (E) {
     S.Hits.inc();
     if (Sampled) {
-      E->LastUseNs.store(T0, std::memory_order_relaxed);
       recordLookupNs(S, steadyNs() - T0);
       HotKeys.offer(K, SampleMask + uint64_t{1});
     }
@@ -118,14 +119,15 @@ DividerRegistry::EntryHandle DividerRegistry::acquire(const Key &K) {
   Shard &S = Shards[shardIndexFor(H)];
   const bool Sampled = sampleThisOp();
   const uint64_t T0 = Sampled ? steadyNs() : 0;
+  uint64_t I;
   {
     EpochDomain::Guard G(EpochDomain::global());
-    const Table *T = S.Current.load(std::memory_order_seq_cst);
-    if (const Bucket *B = T->find(K, H)) {
-      EntryHandle E = B->E;
+    Table *T = S.Current.load(std::memory_order_seq_cst);
+    if (const DividerEntry *Found = T->find(K, H, I)) {
+      EntryHandle E = Found->shared_from_this();
       S.Hits.inc();
       if (Sampled) {
-        E->LastUseNs.store(T0, std::memory_order_relaxed);
+        T->touch(I, Found, T0);
         recordLookupNs(S, steadyNs() - T0);
         HotKeys.offer(K, SampleMask + uint64_t{1});
       }
@@ -134,87 +136,107 @@ DividerRegistry::EntryHandle DividerRegistry::acquire(const Key &K) {
   }
 
   std::lock_guard<std::mutex> Lock(S.WriterMutex);
-  // Only this shard's writer replaces Current and we hold its lock, so
-  // the raw load needs no epoch guard.
-  const Table *Cur = S.Current.load(std::memory_order_relaxed);
-  if (const Bucket *B = Cur->find(K, H)) {
+  // Only this shard's writer replaces or frees Current and we hold its
+  // lock, so the table needs no epoch guard here.
+  Table *Cur = S.Current.load(std::memory_order_relaxed);
+  if (Cur->find(K, H, I)) {
     // Late hit: another thread admitted the key between our probe and
     // the lock. Build-once means this counts as a hit, keeping
     // Misses == Inserts exact.
     S.Hits.inc();
-    return B->E;
+    return Cur->Handles[I];
   }
 
   S.Misses.inc();
   const uint64_t Admit0 = steadyNs();
   EntryHandle E = makeDividerEntry(K);
   AdmitNsAll.record(steadyNs() - Admit0);
-  E->LastUseNs.store(steadyNs(), std::memory_order_relaxed);
 
-  // Copy-on-write rebuild: same geometry, minus a victim when full.
-  auto *NewT = new Table(BucketsPerShard);
-  const Bucket *Victim = nullptr;
-  if (Cur->Size >= ShardCapacity) {
-    uint64_t Stalest = UINT64_MAX;
-    for (const Bucket &B : Cur->Buckets) {
-      if (!B.E)
-        continue;
-      const uint64_t Used = B.E->LastUseNs.load(std::memory_order_relaxed);
-      if (Used <= Stalest) {
-        // <= so a tie (e.g. SampleEvery leaving stamps at admission
-        // time) still yields a victim deterministically (last wins).
-        Stalest = Used;
-        Victim = &B;
-      }
-    }
-  }
-  auto place = [NewT](const Key &BK, uint64_t BH, EntryHandle BE) {
-    for (uint64_t I = BH & NewT->Mask;; I = (I + 1) & NewT->Mask) {
-      Bucket &Slot = NewT->Buckets[I];
-      if (!Slot.E) {
-        Slot.K = BK;
-        Slot.E = std::move(BE);
-        ++NewT->Size;
-        return;
-      }
-    }
-  };
-  for (const Bucket &B : Cur->Buckets)
-    if (B.E && &B != Victim)
-      place(B.K, KeyHash()(B.K), B.E);
-  place(K, H, E);
-  if (Victim)
-    S.Evictions.fetch_add(1, std::memory_order_relaxed);
+  if (Cur->Live.load(std::memory_order_relaxed) >= ShardCapacity)
+    evictStalest(S, *Cur);
+  if (Cur->Live.load(std::memory_order_relaxed) +
+          Cur->Tombstones.load(std::memory_order_relaxed) >=
+      MaxUsedSlots)
+    Cur = rebuild(S, *Cur);
+  insert(*Cur, H, E, steadyNs());
   S.Inserts.fetch_add(1, std::memory_order_relaxed);
   // Admissions always reach the sketch, so cold-start traffic is
   // attributed even before any sampled hit lands.
   HotKeys.offer(K);
-  publish(S, NewT);
+  reclaim(S);
   return E;
 }
 
-void DividerRegistry::publish(Shard &S, const Table *NewT) {
-  const Table *Old = S.Current.load(std::memory_order_relaxed);
-  S.Current.store(NewT, std::memory_order_seq_cst);
-  EpochDomain &D = EpochDomain::global();
-  S.RetiredTables.push_back({Old, D.retire()});
-  // Reclaim every retired table whose grace period has elapsed: no
-  // active reader announced an epoch older than its retirement tag.
-  const uint64_t MinActive = D.minActive();
-  auto Keep = S.RetiredTables.begin();
-  for (Retired &R : S.RetiredTables) {
-    if (R.Epoch <= MinActive)
-      delete R.T;
-    else
-      *Keep++ = R;
+void DividerRegistry::insert(Table &T, uint64_t H, EntryHandle E,
+                             uint64_t Stamp) {
+  uint64_t I = H & T.Mask;
+  const DividerEntry *Old;
+  while (isLive(Old = T.Slots[I].E.load(std::memory_order_relaxed)))
+    I = (I + 1) & T.Mask;
+  if (Old)
+    T.Tombstones.fetch_sub(1, std::memory_order_relaxed);
+  T.Slots[I].Hash.store(H, std::memory_order_relaxed);
+  T.Stamps[I].store(Stamp, std::memory_order_relaxed);
+  const DividerEntry *Raw = E.get();
+  T.Handles[I] = std::move(E);
+  T.Slots[I].E.store(Raw, std::memory_order_seq_cst);
+  T.Live.fetch_add(1, std::memory_order_relaxed);
+}
+
+void DividerRegistry::evictStalest(Shard &S, Table &T) {
+  uint64_t Victim = 0, Stalest = UINT64_MAX;
+  for (uint64_t I = 0; I <= T.Mask; ++I) {
+    const uint64_t Used = T.Stamps[I].load(std::memory_order_relaxed);
+    // <= so a tie (e.g. SampleEvery leaving stamps at admission time)
+    // still yields a victim deterministically (last wins). Null and
+    // tombstone slots may carry any stamp, so check liveness too.
+    if (Used <= Stalest &&
+        isLive(T.Slots[I].E.load(std::memory_order_relaxed))) {
+      Stalest = Used;
+      Victim = I;
+    }
   }
-  S.RetiredTables.erase(Keep, S.RetiredTables.end());
+  T.Slots[Victim].E.store(tombstone(), std::memory_order_seq_cst);
+  T.Stamps[Victim].store(UINT64_MAX, std::memory_order_relaxed);
+  T.Live.fetch_sub(1, std::memory_order_relaxed);
+  T.Tombstones.fetch_add(1, std::memory_order_relaxed);
+  S.RetiredList.push_back(
+      {nullptr, std::move(T.Handles[Victim]), EpochDomain::global().retire()});
+  S.Evictions.fetch_add(1, std::memory_order_relaxed);
+}
+
+DividerRegistry::Table *DividerRegistry::rebuild(Shard &S, Table &T) {
+  auto *NewT = new Table(BucketsPerShard);
+  for (uint64_t I = 0; I <= T.Mask; ++I)
+    if (isLive(T.Slots[I].E.load(std::memory_order_relaxed)))
+      insert(*NewT, T.Slots[I].Hash.load(std::memory_order_relaxed),
+             std::move(T.Handles[I]),
+             T.Stamps[I].load(std::memory_order_relaxed));
+  S.Rebuilds.fetch_add(1, std::memory_order_relaxed);
+  publish(S, NewT);
+  return NewT;
+}
+
+void DividerRegistry::publish(Shard &S, Table *NewT) {
+  Table *Old = S.Current.load(std::memory_order_relaxed);
+  S.Current.store(NewT, std::memory_order_seq_cst);
+  S.RetiredList.push_back(
+      {std::unique_ptr<Table>(Old), nullptr, EpochDomain::global().retire()});
+}
+
+void DividerRegistry::reclaim(Shard &S) {
+  // Free everything whose grace period has elapsed: no active reader
+  // announced an epoch older than its retirement tag.
+  const uint64_t MinActive = EpochDomain::global().minActive();
+  std::erase_if(S.RetiredList,
+                [&](const Retired &R) { return R.Epoch <= MinActive; });
 }
 
 void DividerRegistry::clear() {
   for (Shard &S : Shards) {
     std::lock_guard<std::mutex> Lock(S.WriterMutex);
     publish(S, new Table(BucketsPerShard));
+    reclaim(S);
   }
 }
 
@@ -228,7 +250,9 @@ std::vector<cache::CacheStats> DividerRegistry::shardStats() const {
     Row.Misses = S.Misses.value();
     Row.Evictions = S.Evictions.load(std::memory_order_relaxed);
     Row.Inserts = S.Inserts.load(std::memory_order_relaxed);
-    Row.Entries = S.Current.load(std::memory_order_seq_cst)->Size;
+    Row.Entries =
+        S.Current.load(std::memory_order_seq_cst)->Live.load(
+            std::memory_order_relaxed);
     Row.Capacity = ShardCapacity;
   }
   return Out;
@@ -243,10 +267,36 @@ cache::CacheStats DividerRegistry::stats() const {
 
 size_t DividerRegistry::size() const {
   size_t N = 0;
-  EpochDomain::Guard G(EpochDomain::global());
-  for (const Shard &S : Shards)
-    N += S.Current.load(std::memory_order_seq_cst)->Size;
+  for (const TableStats &Row : tableStats())
+    N += Row.Live;
   return N;
+}
+
+std::vector<DividerRegistry::EntryHandle> DividerRegistry::entries() const {
+  std::vector<EntryHandle> Out;
+  EpochDomain::Guard G(EpochDomain::global());
+  for (const Shard &S : Shards) {
+    const Table *T = S.Current.load(std::memory_order_seq_cst);
+    for (uint64_t I = 0; I <= T->Mask; ++I) {
+      const DividerEntry *E = T->Slots[I].E.load(std::memory_order_seq_cst);
+      if (isLive(E))
+        Out.push_back(E->shared_from_this());
+    }
+  }
+  return Out;
+}
+
+std::vector<DividerRegistry::TableStats> DividerRegistry::tableStats() const {
+  std::vector<TableStats> Out(Shards.size());
+  EpochDomain::Guard G(EpochDomain::global());
+  for (size_t I = 0; I < Shards.size(); ++I) {
+    const Table *T = Shards[I].Current.load(std::memory_order_seq_cst);
+    Out[I].Buckets = T->Mask + 1;
+    Out[I].Live = T->Live.load(std::memory_order_relaxed);
+    Out[I].Tombstones = T->Tombstones.load(std::memory_order_relaxed);
+    Out[I].Rebuilds = Shards[I].Rebuilds.load(std::memory_order_relaxed);
+  }
+  return Out;
 }
 
 void DividerRegistry::collect(metrics::SnapshotBuilder &B) const {
@@ -267,6 +317,12 @@ void DividerRegistry::collect(metrics::SnapshotBuilder &B) const {
               static_cast<double>(Row.Evictions));
     B.counter(P + "_shard_inserts_total", "Entries admitted", L,
               static_cast<double>(Row.Inserts));
+    B.counter(P + "_shard_rebuilds_total",
+              "Slot-table rebuilds (live plus tombstone slots reached "
+              "3/4 of the buckets)",
+              L,
+              static_cast<double>(
+                  Shards[I].Rebuilds.load(std::memory_order_relaxed)));
     B.gauge(P + "_shard_entries", "Entries resident in the shard", L,
             static_cast<double>(Row.Entries));
     B.gauge(P + "_shard_capacity", "Shard capacity", L,

@@ -14,26 +14,33 @@
 /// partitioners that resolve a divisor per message.
 ///
 /// Structure: keys spread over power-of-two shards (cache::mixBits).
-/// Each shard publishes an immutable open-addressing table through an
-/// atomic pointer. The hit path — lookup() / withEntry() — never takes
-/// a mutex: it pins the epoch domain (service/Epoch.h), loads the
-/// published table, probes, and copies out the entry's shared_ptr.
-/// Writers (acquire() on a miss) serialize on a per-shard mutex,
-/// re-probe (build-once: latecomers on the same key become "late
-/// hits"), build the entry, then publish a rebuilt table copy-on-write
-/// and retire the old one through the epoch domain.
+/// Each shard owns a live open-addressing slot table behind an atomic
+/// pointer. The hit path — lookup() / withEntry() — never takes a
+/// mutex: it pins the epoch domain (service/Epoch.h), loads the table,
+/// probes the slots (the stored key hash filters them, so a hit
+/// dereferences only its entry) and runs the callback or returns
+/// shared_from_this(). Writers (acquire() on a miss) serialize
+/// on a per-shard mutex, re-probe (build-once: latecomers on the same
+/// key become "late hits"), build the entry and store it into a null
+/// or tombstone slot in place. Eviction stores a tombstone into the
+/// victim's slot and retires only the victim's handle through the
+/// epoch domain. Slots never return to null, so probes terminate; once
+/// live plus tombstone slots would pass 3/4 of the buckets the writer
+/// rebuilds the table (raw pointers only, no handle copies) and
+/// retires the old one whole.
 ///
-/// Eviction is size-capped approximate LRU: each entry carries an
-/// atomic LastUseNs stamp refreshed on *sampled* hits (1 in
+/// Eviction is size-capped approximate LRU: each slot carries an
+/// atomic recency stamp refreshed on *sampled* hits (1 in
 /// Options::SampleEvery, sharing the clock read with the
 /// lookup-latency histogram, so the unsampled hit path performs no
-/// clock reads); a full shard evicts the stalest entry during the
-/// admission rebuild. Handles are shared_ptr: eviction drops the
-/// registry's reference, never the entry — holders keep dividing.
+/// clock reads); a full shard evicts the slot with the stalest stamp,
+/// found by one scan over the contiguous stamp array. Handles are
+/// shared_ptr: eviction drops the registry's reference, never the
+/// entry — holders keep dividing.
 ///
 /// Counters per shard: Hits/Misses on wait-free striped
-/// metrics::Counter (exact at snapshot); Inserts/Evictions as plain
-/// words under the writer mutex. For acquire()-only workloads
+/// metrics::Counter (exact at snapshot); Inserts/Evictions/Rebuilds
+/// as plain words under the writer mutex. For acquire()-only workloads
 /// Misses == Inserts exactly (the consistency check the tests and the
 /// JIT cache both rely on); lookup() misses on absent keys add to
 /// Misses without an insert. Everything is exported to the metrics
@@ -122,11 +129,12 @@ public:
     const uint64_t T0 = Sampled ? steadyNs() : 0;
     {
       EpochDomain::Guard G(EpochDomain::global());
-      const Table *T = S.Current.load(std::memory_order_seq_cst);
-      if (const Bucket *B = T->find(K, H)) {
-        F(*B->E);
+      Table *T = S.Current.load(std::memory_order_seq_cst);
+      uint64_t I;
+      if (const DividerEntry *E = T->find(K, H, I)) {
+        F(*E);
         if (Sampled) {
-          B->E->LastUseNs.store(T0, std::memory_order_relaxed);
+          T->touch(I, E, T0);
           recordLookupNs(S, steadyNs() - T0);
           // Sampled heavy-hitter credit, scaled back up to an estimate
           // of the unsampled stream.
@@ -146,8 +154,23 @@ public:
   std::vector<cache::CacheStats> shardStats() const;
   size_t numShards() const { return Shards.size(); }
   size_t shardCapacity() const { return ShardCapacity; }
-  /// Entries resident right now (sums the published tables).
+  /// Entries resident right now (sums the shard tables).
   size_t size() const;
+  /// Handles to every resident entry, in no particular order. Touches
+  /// neither recency stamps nor counters.
+  std::vector<EntryHandle> entries() const;
+
+  /// Slot-table shape of one shard.
+  struct TableStats {
+    size_t Buckets = 0;
+    size_t Live = 0;
+    size_t Tombstones = 0;
+    /// Tables rebuilt because live plus tombstone slots would pass 3/4
+    /// of the buckets (clear() does not count).
+    uint64_t Rebuilds = 0;
+  };
+  /// Per-shard slot-table shape, index = shard number.
+  std::vector<TableStats> tableStats() const;
   /// Invalid-key rejections (d = 0, unsupported width); never cached.
   uint64_t invalidKeys() const { return InvalidKeys.value(); }
 
@@ -177,50 +200,88 @@ public:
   static DividerRegistry &global();
 
 private:
-  struct Bucket {
-    Key K{};
-    EntryHandle E; ///< Null = empty slot (no tombstones; see rebuild).
+  /// Stored in an evicted entry's slot. Never dereferenced.
+  static const DividerEntry *tombstone() {
+    return reinterpret_cast<const DividerEntry *>(uintptr_t{1});
+  }
+  static bool isLive(const DividerEntry *E) { return E && E != tombstone(); }
+
+  struct Slot {
+    /// Full key hash; set before E is published.
+    std::atomic<uint64_t> Hash{0};
+    /// Null (never used), tombstone(), or a resident entry.
+    std::atomic<const DividerEntry *> E{nullptr};
   };
 
-  /// Immutable once published: linear-probing table with load <= 0.5,
-  /// so probes on a published table always terminate at an empty slot.
+  /// Linear-probing slot table the shard writer mutates in place.
+  /// Live plus tombstone slots stay at or under 3/4 of the buckets, so
+  /// every probe ends at a null slot.
   struct Table {
-    std::vector<Bucket> Buckets;
-    uint64_t Mask = 0;
-    size_t Size = 0;
+    std::unique_ptr<Slot[]> Slots;
+    /// Recency stamp per slot (steadyNs()), apart from the slots so the
+    /// victim scan reads one contiguous array.
+    std::unique_ptr<std::atomic<uint64_t>[]> Stamps;
+    /// The owning handle per live slot; writer-only.
+    std::vector<EntryHandle> Handles;
+    uint64_t Mask;
+    std::atomic<size_t> Live{0};
+    std::atomic<size_t> Tombstones{0};
 
     explicit Table(size_t BucketCount)
-        : Buckets(BucketCount), Mask(BucketCount - 1) {}
+        : Slots(new Slot[BucketCount]),
+          Stamps(new std::atomic<uint64_t>[BucketCount]),
+          Handles(BucketCount), Mask(BucketCount - 1) {
+      for (size_t I = 0; I < BucketCount; ++I)
+        Stamps[I].store(UINT64_MAX, std::memory_order_relaxed);
+    }
 
-    const Bucket *find(const Key &K, uint64_t H) const {
-      for (uint64_t I = H & Mask;; I = (I + 1) & Mask) {
-        const Bucket &B = Buckets[I];
-        if (!B.E)
+    /// The entry for \p K and its slot index in \p Index, or null.
+    const DividerEntry *find(const Key &K, uint64_t H,
+                             uint64_t &Index) const {
+      // Locals, so the seq_cst loads below do not force reloads.
+      const Slot *Base = Slots.get();
+      const uint64_t M = Mask;
+      const Key Want = K;
+      for (uint64_t I = H & M;; I = (I + 1) & M) {
+        const DividerEntry *E = Base[I].E.load(std::memory_order_seq_cst);
+        if (!E)
           return nullptr;
-        if (B.K == K)
-          return &B;
+        if (E != tombstone() &&
+            Base[I].Hash.load(std::memory_order_relaxed) == H &&
+            E->key() == Want) {
+          Index = I;
+          return E;
+        }
       }
+    }
+
+    /// Sampled-hit recency refresh; skipped if the slot no longer holds
+    /// \p E, so a reused slot never gets the old key's stamp.
+    void touch(uint64_t I, const DividerEntry *E, uint64_t Ns) {
+      if (Slots[I].E.load(std::memory_order_relaxed) == E)
+        Stamps[I].store(Ns, std::memory_order_relaxed);
     }
   };
 
   struct Retired {
-    const Table *T;
+    std::unique_ptr<Table> T; ///< A whole table (rebuild, clear), or
+    EntryHandle E;            ///< one evicted entry.
     uint64_t Epoch; ///< Free once Epoch <= EpochDomain::minActive().
   };
 
   struct alignas(64) Shard {
-    /// The published table; readers load it under an epoch guard.
-    std::atomic<const Table *> Current{nullptr};
+    /// The live table; readers load it under an epoch guard.
+    std::atomic<Table *> Current{nullptr};
     /// Wait-free striped counters: written by the lock-free hit path.
     metrics::Counter Hits;
     metrics::Counter Misses;
-    /// Everything below is written only under WriterMutex; the insert
-    /// and eviction counts are atomics so stats() can read them
-    /// without taking the lock.
+    /// Everything below is written only under WriterMutex; the counts
+    /// are atomics so stats() can read them without taking the lock.
     std::mutex WriterMutex;
     std::atomic<uint64_t> Inserts{0};
     std::atomic<uint64_t> Evictions{0};
-    std::vector<Retired> RetiredTables;
+    std::atomic<uint64_t> Rebuilds{0};
+    std::vector<Retired> RetiredList;
   };
 
   size_t shardIndexFor(uint64_t H) const {
@@ -234,16 +295,25 @@ private:
   static uint64_t steadyNs();
   void recordLookupNs(const Shard &S, uint64_t Ns);
 
-  /// Publishes \p NewT in \p S and retires the old table; then frees
-  /// every retired table whose grace period has elapsed. Caller holds
-  /// S.WriterMutex.
-  void publish(Shard &S, const Table *NewT);
+  /// The writer half, all called with S.WriterMutex held.
+  /// Stores \p E into the first null or tombstone slot on its probe.
+  static void insert(Table &T, uint64_t H, EntryHandle E, uint64_t Stamp);
+  /// Tombstones the slot with the stalest stamp; retires its handle.
+  void evictStalest(Shard &S, Table &T);
+  /// Publishes a fresh table holding T's live slots; retires T.
+  Table *rebuild(Shard &S, Table &T);
+  /// Publishes \p NewT and retires the old table whole.
+  void publish(Shard &S, Table *NewT);
+  /// Frees everything retired whose grace period has elapsed.
+  void reclaim(Shard &S);
 
   void collect(metrics::SnapshotBuilder &B) const;
 
   std::vector<Shard> Shards;
   size_t ShardCapacity;
   size_t BucketsPerShard;
+  /// Live plus tombstone slots allowed before a rebuild (3/4 buckets).
+  size_t MaxUsedSlots;
   uint32_t SampleMask;
   /// Space-saving sketch of the hottest keys (its own mutex; touched
   /// only on sampled hits and admissions, never the common hit path).

@@ -30,6 +30,7 @@
 #include <cstring>
 #include <future>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,6 +50,35 @@ DividerRegistry::Options smallOptions(size_t Shards, size_t Capacity) {
   O.ShardCapacity = Capacity;
   O.SampleEvery = 1; // deterministic recency stamps for LRU tests
   return O;
+}
+
+template <typename T> bool scalarsMatchCoreAs(const DividerEntry &E) {
+  using U = std::make_unsigned_t<T>;
+  const T D = static_cast<T>(static_cast<U>(E.divisorBits()));
+  const std::conditional_t<std::is_signed_v<T>, SignedDivider<T>,
+                           UnsignedDivider<T>>
+      Ref(D);
+  for (const uint64_t P : {uint64_t{0}, uint64_t{1}, uint64_t{12345678901},
+                           ~uint64_t{0}, uint64_t{1} << (sizeof(T) * 8 - 1)}) {
+    const T N = static_cast<T>(static_cast<U>(P));
+    if (E.divide<T>(N) != Ref.divide(N) ||
+        E.remainder<T>(N) != Ref.remainder(N))
+      return false;
+  }
+  return true;
+}
+
+/// Scalar calls of \p E agree with a fresh core divider for its key
+/// (u32, i32 and u64 keys).
+bool scalarsMatchCore(const DividerEntry &E) {
+  if (E.kind() == OpKind::Signed && E.wordBits() == 32)
+    return scalarsMatchCoreAs<int32_t>(E);
+  if (E.kind() == OpKind::Unsigned && E.wordBits() == 32)
+    return scalarsMatchCoreAs<uint32_t>(E);
+  if (E.kind() == OpKind::Unsigned && E.wordBits() == 64)
+    return scalarsMatchCoreAs<uint64_t>(E);
+  ADD_FAILURE() << "no reference for " << E.key().describe();
+  return false;
 }
 
 //===----------------------------------------------------------------------===//
@@ -443,6 +473,117 @@ TEST(ServiceRegistry, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(R.lookup(keyFor<uint32_t>(5)), nullptr);
 }
 
+TEST(ServiceRegistry, InPlaceAdmissionMatchesExactLruModel) {
+  // One shard of 8 entries (16 buckets) under a seeded mix of every
+  // access path, with SampleEvery = 1 so each hit refreshes its stamp:
+  // the registry must track an exact-LRU reference model op for op,
+  // through tombstone reuse and repeated 3/4-threshold rebuilds.
+  constexpr size_t Capacity = 8;
+  constexpr size_t NumKeys = 40;
+  constexpr size_t Ops = 20000;
+  DividerRegistry R(smallOptions(1, Capacity));
+  ASSERT_EQ(R.tableStats()[0].Buckets, 16u);
+
+  std::vector<Key> Keys;
+  for (size_t I = 0; I < NumKeys; ++I) {
+    const auto D = static_cast<int32_t>(3 + 7 * I);
+    Keys.push_back(I % 3 == 0   ? keyFor<uint32_t>(static_cast<uint32_t>(D))
+                   : I % 3 == 1 ? keyFor<int32_t>(-D)
+                                : keyFor<uint64_t>(uint64_t{1} << 40 | D));
+  }
+  const auto Order = [](const Key &A, const Key &B) {
+    return std::tie(A.Kind, A.WordBits, A.DivisorBits) <
+           std::tie(B.Kind, B.WordBits, B.DivisorBits);
+  };
+
+  std::vector<Key> Lru; // front = least recently used
+  uint64_t Admissions = 0, ReadMisses = 0, TombstoneReuses = 0;
+  uint64_t Rng = 0x1234;
+  for (size_t Op = 0; Op < Ops; ++Op) {
+    const Key &K = Keys[splitmix(Rng) % NumKeys];
+    const auto Pos = std::find(Lru.begin(), Lru.end(), K);
+    const bool Resident = Pos != Lru.end();
+    const DividerRegistry::TableStats Before = R.tableStats()[0];
+    bool Evicted = false;
+    if (Resident) {
+      Lru.erase(Pos);
+      Lru.push_back(K);
+    }
+    switch (splitmix(Rng) % 3) {
+    case 0: {
+      const auto E = R.acquire(K);
+      ASSERT_NE(E, nullptr);
+      ASSERT_EQ(E->key(), K);
+      if (!Resident) {
+        Evicted = Lru.size() == Capacity;
+        if (Evicted)
+          Lru.erase(Lru.begin());
+        Lru.push_back(K);
+        ++Admissions;
+      }
+      break;
+    }
+    case 1: {
+      const auto E = R.lookup(K);
+      ASSERT_EQ(E != nullptr, Resident) << "op " << Op;
+      ReadMisses += !Resident;
+      break;
+    }
+    default: {
+      bool Match = false;
+      ASSERT_EQ(R.withEntry(K,
+                            [&](const DividerEntry &E) {
+                              Match = E.key() == K && scalarsMatchCore(E);
+                            }),
+                Resident)
+          << "op " << Op;
+      EXPECT_EQ(Match, Resident);
+      ReadMisses += !Resident;
+      break;
+    }
+    }
+
+    // The resident set is the model's, and every entry serves the core
+    // divider's results.
+    std::vector<Key> Want = Lru, Got;
+    for (const auto &E : R.entries()) {
+      Got.push_back(E->key());
+      ASSERT_TRUE(scalarsMatchCore(*E)) << E->key().describe();
+    }
+    std::sort(Want.begin(), Want.end(), Order);
+    std::sort(Got.begin(), Got.end(), Order);
+    ASSERT_EQ(Got, Want) << "op " << Op;
+
+    const cache::CacheStats St = R.stats();
+    ASSERT_EQ(St.Inserts, Admissions);
+    ASSERT_EQ(St.Misses - ReadMisses, St.Inserts);
+    ASSERT_EQ(St.Evictions, St.Inserts - R.size());
+
+    // An admission without a rebuild adds the victim's tombstone (if
+    // any) and consumes a tombstone when it lands on one.
+    const DividerRegistry::TableStats After = R.tableStats()[0];
+    ASSERT_LE(After.Live + After.Tombstones, After.Buckets / 4 * 3);
+    if (!Resident && After.Rebuilds == Before.Rebuilds &&
+        After.Tombstones < Before.Tombstones + Evicted)
+      ++TombstoneReuses;
+  }
+  EXPECT_GT(TombstoneReuses, 0u);
+  EXPECT_GE(R.tableStats()[0].Rebuilds, 3u);
+}
+
+TEST(ServiceRegistry, FullShardAdmissionsRarelyRebuild) {
+  // Fresh admissions on a full shard rebuild its table only when live
+  // plus tombstone slots reach 3/4 of the 128 buckets: at most once per
+  // 32 admissions, not once per admission.
+  constexpr uint64_t Admissions = 1280;
+  DividerRegistry R(smallOptions(1, 64));
+  for (uint64_t I = 0; I < Admissions; ++I)
+    ASSERT_NE(R.acquireFor<uint64_t>(1000 + I), nullptr);
+  EXPECT_EQ(R.stats().Inserts, Admissions);
+  EXPECT_EQ(R.size(), 64u);
+  EXPECT_LE(R.tableStats()[0].Rebuilds, Admissions / 32 + 1);
+}
+
 //===----------------------------------------------------------------------===//
 // Epoch domain
 //===----------------------------------------------------------------------===//
@@ -644,6 +785,58 @@ TEST(BatchService, ExportMetricsPublishesJobSeries) {
 //===----------------------------------------------------------------------===//
 // Mixed stress (the TSan hammer)
 //===----------------------------------------------------------------------===//
+
+TEST(ServiceRegistry, EvictionDuringReadsIsSafe) {
+  // Three readers hammer six hot keys on a 4-entry shard while a writer
+  // admits fresh keys, so the readers' slots are tombstoned, reused and
+  // rebuilt under them. Every result they see must be the core
+  // divider's.
+  DividerRegistry R(smallOptions(1, 4));
+  const std::array<Key, 6> Hot = {
+      keyFor<uint32_t>(3),       keyFor<uint32_t>(10),
+      keyFor<int32_t>(-7),       keyFor<int32_t>(641),
+      keyFor<uint64_t>(1000003), keyFor<uint64_t>(~uint64_t{0} / 3)};
+  std::atomic<bool> Done{false};
+  std::atomic<uint64_t> Mismatches{0}, Hits{0};
+
+  std::vector<std::thread> Readers;
+  for (size_t T = 0; T < 3; ++T) {
+    Readers.emplace_back([&] {
+      while (!Done.load(std::memory_order_relaxed)) {
+        for (const Key &K : Hot) {
+          bool Ok = true;
+          if (R.withEntry(K, [&](const DividerEntry &E) {
+                Ok = E.key() == K && scalarsMatchCore(E);
+              }))
+            Hits.fetch_add(1, std::memory_order_relaxed);
+          auto E = R.lookup(K);
+          if (!E)
+            E = R.acquire(K);
+          Ok &= E && E->key() == K && scalarsMatchCore(*E);
+          if (!Ok)
+            Mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  std::thread Writer([&] {
+    for (uint32_t I = 0; I < 10000; ++I) {
+      const auto E = R.acquireFor<uint32_t>(100 + I);
+      if (!E || !scalarsMatchCore(*E))
+        Mismatches.fetch_add(1, std::memory_order_relaxed);
+    }
+    Done.store(true, std::memory_order_relaxed);
+  });
+  Writer.join();
+  for (std::thread &W : Readers)
+    W.join();
+
+  EXPECT_EQ(Mismatches.load(), 0u);
+  EXPECT_GT(Hits.load(), 0u);
+  const cache::CacheStats St = R.stats();
+  EXPECT_GE(St.Evictions, 10000u - 4);
+  EXPECT_EQ(St.Evictions, St.Inserts - R.size());
+}
 
 TEST(ServiceRegistry, MixedContentionStress) {
   // Small capacity forces constant eviction + table retirement while
