@@ -12,6 +12,8 @@
 // quantities are elements/second at large batches — where the SIMD
 // backends should win by roughly the lane count over the scalar loop —
 // and the crossover batch size, which arch::estimateBatchCost predicts.
+// BatchDividerConstruct<T> times the constructor alone (precompute,
+// kernel-table pick, selection counter).
 //
 // Reports to BENCH_batch_div.json via bench_report.h.
 //
@@ -142,6 +144,23 @@ void BM_BatchDivisible(benchmark::State &State) {
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(N));
 }
+
+//===----------------------------------------------------------------------===//
+// Construction: the per-divisor precompute a registry admission pays
+//===----------------------------------------------------------------------===//
+
+template <typename T>
+void BM_BatchDividerConstruct(benchmark::State &State) {
+  T D = 3; // odd, so never zero
+  for (auto _ : State) {
+    const BatchDivider<T> Div(D);
+    benchmark::DoNotOptimize(&Div);
+    D += 2;
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK_TEMPLATE(BM_BatchDividerConstruct, uint32_t);
+BENCHMARK_TEMPLATE(BM_BatchDividerConstruct, uint64_t);
 
 // 8 -> 64k in 4x steps; 256 is the acceptance-criteria batch size.
 #define GMDIV_BATCH_RANGE()                                                  \

@@ -22,6 +22,12 @@
 //   RegistryAdmitChurnDefaultCapacity
 //                                  the same at the default 256 entries
 //                                  per shard (perfbench churn's shape).
+//   RegistryAdmitChurnMultiShard/threads:N
+//                                  N threads admitting fresh divisors
+//                                  into one full 16 x 256 registry:
+//                                  shows any process-wide lock that
+//                                  admissions on different shards
+//                                  still share.
 //   BatchSubmitPipeline            32 in-flight 4096-lane jobs through
 //                                  the async front door (2 workers).
 //
@@ -45,6 +51,7 @@
 
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
@@ -202,6 +209,28 @@ void BM_RegistryAdmitChurnDefaultCapacity(benchmark::State &State) {
   admitChurn(State, service::DividerRegistry::Options().ShardCapacity);
 }
 BENCHMARK(BM_RegistryAdmitChurnDefaultCapacity);
+
+void BM_RegistryAdmitChurnMultiShard(benchmark::State &State) {
+  // Thread 0 builds and fills the registry before the start barrier;
+  // every thread then admits its own fresh divisors, so each iteration
+  // is a miss that evicts on whichever shard the key hashes to.
+  static std::unique_ptr<service::DividerRegistry> R;
+  if (State.thread_index() == 0) {
+    R = std::make_unique<service::DividerRegistry>(benchOptions());
+    for (size_t I = 0; I < R->numShards() * R->shardCapacity(); ++I)
+      R->acquireFor<uint64_t>(divisorAt(I));
+  }
+  uint64_t D = (uint64_t{1} + State.thread_index()) << 40;
+  for (auto _ : State) {
+    const auto E = R->acquireFor<uint64_t>(D++);
+    benchmark::DoNotOptimize(E.get());
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_RegistryAdmitChurnMultiShard)
+    ->Threads(1)
+    ->Threads(2)
+    ->UseRealTime();
 
 //===----------------------------------------------------------------------===//
 // Async batch front door

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 namespace gmdiv {
 namespace batch {
@@ -113,17 +114,53 @@ bool backendAvailable(Backend B) {
   return cpuSupports(B);
 }
 
+namespace {
+
+/// The selection sources noteBackendSelected() caches counters for.
+constexpr const char *SelectionSources[] = {"divider", "env-override",
+                                            "autodetect", "fallback"};
+constexpr size_t NumSources = std::size(SelectionSources);
+constexpr size_t NumBackends = 4;
+
+/// gmdiv_batch_backend_selected_total{backend,source}, looked up by name
+/// (under the metrics registry's mutex) once per series and cached:
+/// instruments are never unregistered, so the reference stays valid.
+/// Series are registered on first use, so backends that were never
+/// selected export nothing.
+metrics::Counter &selectionCounter(Backend B, const char *Source) {
+  const auto Lookup = [&] {
+    return &metrics::Registry::global().counter(
+        "gmdiv_batch_backend_selected_total",
+        "Batch backend selection events by backend and source",
+        {{"backend", backendName(B)}, {"source", Source}});
+  };
+  static std::atomic<metrics::Counter *> Cache[NumBackends][NumSources];
+  const size_t BI = static_cast<size_t>(B);
+  size_t SI = 0;
+  while (SI < NumSources && std::strcmp(Source, SelectionSources[SI]) != 0)
+    ++SI;
+  if (SI == NumSources)
+    return *Lookup();
+  std::atomic<metrics::Counter *> &Slot = Cache[BI][SI];
+  metrics::Counter *C = Slot.load(std::memory_order_acquire);
+  if (!C) {
+    // Racing first uses resolve the same instrument.
+    C = Lookup();
+    Slot.store(C, std::memory_order_release);
+  }
+  return *C;
+}
+
+} // namespace
+
 /// Internal: one "batch.backend" remark per selection event — the
 /// process-wide default resolution and every explicitly pinned
 /// BatchDivider. Guarded by remarksEnabled(), so the default (no sink)
-/// costs nothing and GMDIV_NO_TELEMETRY compiles it out.
+/// costs nothing and GMDIV_NO_TELEMETRY compiles it out. Runs on every
+/// BatchDivider construction, so the counter is a cached reference.
 void noteBackendSelected(Backend B, const char *Source) {
   GMDIV_STAT_ADD(batch, backend_selections, 1);
-  metrics::Registry::global()
-      .counter("gmdiv_batch_backend_selected_total",
-               "Batch backend selection events by backend and source",
-               {{"backend", backendName(B)}, {"source", Source}})
-      .inc();
+  selectionCounter(B, Source).inc();
   if (!telemetry::remarksEnabled())
     return;
   telemetry::Remark R;

@@ -144,13 +144,18 @@ DividerRegistry::EntryHandle DividerRegistry::acquire(const Key &K) {
     // the lock. Build-once means this counts as a hit, keeping
     // Misses == Inserts exact.
     S.Hits.inc();
+    if (Sampled)
+      HotKeys.offer(K, SampleMask + uint64_t{1});
     return Cur->Handles[I];
   }
 
   S.Misses.inc();
   const uint64_t Admit0 = steadyNs();
   EntryHandle E = makeDividerEntry(K);
-  AdmitNsAll.record(steadyNs() - Admit0);
+  // One clock read serves as both the build's end and the new slot's
+  // recency stamp.
+  const uint64_t Built = steadyNs();
+  AdmitNsAll.record(Built - Admit0);
 
   if (Cur->Live.load(std::memory_order_relaxed) >= ShardCapacity)
     evictStalest(S, *Cur);
@@ -158,11 +163,13 @@ DividerRegistry::EntryHandle DividerRegistry::acquire(const Key &K) {
           Cur->Tombstones.load(std::memory_order_relaxed) >=
       MaxUsedSlots)
     Cur = rebuild(S, *Cur);
-  insert(*Cur, H, E, steadyNs());
+  insert(*Cur, H, E, Built);
   S.Inserts.fetch_add(1, std::memory_order_relaxed);
-  // Admissions always reach the sketch, so cold-start traffic is
-  // attributed even before any sampled hit lands.
-  HotKeys.offer(K);
+  // Admissions feed the sketch on the same 1-in-SampleEvery ticks and
+  // with the same weight as hits, so every count estimates operations
+  // and the registry-wide sketch mutex stays off most admissions.
+  if (Sampled)
+    HotKeys.offer(K, SampleMask + uint64_t{1});
   reclaim(S);
   return E;
 }

@@ -78,9 +78,10 @@ public:
     /// Ignored; admission never compiles code; kept so existing
     /// callers build.
     bool UseJit = true;
-    /// Recency-stamp + latency-histogram sampling period, rounded up
-    /// to a power of two. 1 = every hit (deterministic LRU, used by
-    /// tests); default 64 keeps clock reads off the common hit path.
+    /// Recency-stamp, latency-histogram and heavy-hitter sampling
+    /// period, rounded up to a power of two. 1 = every operation
+    /// (deterministic LRU and an exact sketch, used by tests); default
+    /// 64 keeps clock reads and the sketch mutex off the common path.
     uint32_t SampleEvery = 64;
     /// Heavy-hitter sketch slots for the hottest divisor keys
     /// (gmdiv_service_registry_topk, `gmdiv_tool top`).
@@ -178,9 +179,12 @@ public:
   /// writer lock; concurrent readers stay safe via the epoch domain.
   void clear();
 
-  /// Heavy-hitter sketch over divisor keys: sampled hits (weighted by
-  /// the sampling period) plus every admission. Exported as
-  /// <prefix>_topk and printed by `gmdiv_tool top`.
+  /// Heavy-hitter sketch over divisor keys, fed on sampled operations
+  /// only: each sampled hit or admission offers its key weighted by the
+  /// (rounded) sampling period, so counts estimate operations and
+  /// totalOffered() is the period times the sampled hits plus
+  /// admissions (exactly Hits + Inserts at SampleEvery = 1). Exported
+  /// as <prefix>_topk and printed by `gmdiv_tool top`.
   const prof::TopK<Key, KeyHash> &hotKeys() const { return HotKeys; }
 
   /// Sampled hit-path lookup latency (ns), aggregated over shards.
@@ -315,8 +319,9 @@ private:
   /// Live plus tombstone slots allowed before a rebuild (3/4 buckets).
   size_t MaxUsedSlots;
   uint32_t SampleMask;
-  /// Space-saving sketch of the hottest keys (its own mutex; touched
-  /// only on sampled hits and admissions, never the common hit path).
+  /// Space-saving sketch of the hottest keys. One mutex guards it for
+  /// every shard, so only sampled hits and sampled admissions touch it,
+  /// never the common hit or miss path.
   prof::TopK<Key, KeyHash> HotKeys;
   metrics::Counter InvalidKeys;
   /// Sampled lookup latency: per shard + aggregate (mirrors the JIT

@@ -16,6 +16,7 @@
 
 #include "metrics/Metrics.h"
 
+#include "batch/BatchDivider.h"
 #include "metrics/Exporter.h"
 #include "metrics/Exposition.h"
 #include "telemetry/Json.h"
@@ -80,6 +81,46 @@ TEST(MetricsRegistry, SameSeriesReturnsSameInstrument) {
   // Help is taken from the first registration.
   const Sample *Found = S.find(Name);
   ASSERT_NE(Found, nullptr);
+}
+
+/// gmdiv_batch_backend_selected_total{backend=<active>,source="divider"}.
+double dividerSelections() {
+  return Registry::global().snapshot().valueOr(
+      "gmdiv_batch_backend_selected_total",
+      {{"backend", batch::backendName(batch::activeBackend())},
+       {"source", "divider"}},
+      0.0);
+}
+
+/// \p PerThread BatchDivider<u32> and <u64> constructions on each of
+/// \p Threads concurrent threads.
+void constructBatchDividers(size_t Threads, size_t PerThread) {
+  std::vector<std::thread> Pool;
+  for (size_t T = 0; T < Threads; ++T)
+    Pool.emplace_back([PerThread] {
+      for (size_t I = 0; I < PerThread; ++I) {
+        const batch::BatchDivider<uint32_t> D32(static_cast<uint32_t>(3 + I));
+        const batch::BatchDivider<uint64_t> D64(uint64_t{5} + I);
+        EXPECT_EQ(D32.backend(), batch::activeBackend());
+        EXPECT_EQ(D64.backend(), batch::activeBackend());
+      }
+    });
+  for (std::thread &T : Pool)
+    T.join();
+}
+
+TEST(MetricsRegistry, EveryBatchDividerConstructionCountsOnce) {
+  // The constructor's counter is resolved once and cached; every
+  // construction must still land exactly one increment, from one
+  // thread and from four racing threads.
+  constexpr size_t PerThread = 500;
+  (void)batch::activeBackend(); // its own "autodetect" selection
+  const double Before = dividerSelections();
+  constructBatchDividers(1, PerThread);
+  const double AfterOne = dividerSelections();
+  EXPECT_EQ(AfterOne - Before, 2.0 * PerThread);
+  constructBatchDividers(4, PerThread);
+  EXPECT_EQ(dividerSelections() - AfterOne, 2.0 * 4 * PerThread);
 }
 
 TEST(MetricsGauge, LastValueWins) {

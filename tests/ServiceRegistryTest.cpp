@@ -420,6 +420,100 @@ TEST(ServiceRegistry, CountersExactUnderContention) {
 }
 
 //===----------------------------------------------------------------------===//
+// Heavy-hitter sketch feeding
+//===----------------------------------------------------------------------===//
+
+/// One registry operation on \p K, picked by \p Op: acquire, lookup or
+/// withEntry. Returns true when the operation found or admitted an
+/// entry (the operations the sketch counts).
+bool mixedOp(DividerRegistry &R, const Key &K, uint64_t Op) {
+  switch (Op % 3) {
+  case 0:
+    return R.acquire(K) != nullptr;
+  case 1:
+    return R.lookup(K) != nullptr;
+  default:
+    return R.withEntry(K, [](const DividerEntry &) {});
+  }
+}
+
+TEST(ServiceRegistry, SketchIsExactAtSampleEveryOne) {
+  // SampleEvery = 1: every hit (late hits included) and every
+  // admission offers weight 1, so with sketch capacity >= distinct
+  // keys each count equals that key's found-or-admitted operations and
+  // the total equals Hits + Inserts, also with four threads racing
+  // first admissions. Lookups of not-yet-admitted keys miss and offer
+  // nothing.
+  constexpr size_t Threads = 4;
+  constexpr size_t NumKeys = 16;
+  constexpr size_t OpsPerThread = 3000;
+  DividerRegistry::Options O = smallOptions(4, 64);
+  O.TopKSlots = NumKeys;
+  DividerRegistry R(O);
+
+  std::vector<Key> Keys;
+  for (size_t I = 0; I < NumKeys; ++I)
+    Keys.push_back(keyFor<uint32_t>(static_cast<uint32_t>(5 + 3 * I)));
+  std::vector<std::vector<uint64_t>> Served(
+      Threads, std::vector<uint64_t>(NumKeys, 0));
+  std::vector<std::thread> Pool;
+  for (size_t T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      uint64_t Rng = 0x5eed + T;
+      for (size_t Op = 0; Op < OpsPerThread; ++Op) {
+        const size_t I = splitmix(Rng) % NumKeys;
+        Served[T][I] += mixedOp(R, Keys[I], splitmix(Rng));
+      }
+    });
+  for (std::thread &W : Pool)
+    W.join();
+
+  const cache::CacheStats St = R.stats();
+  EXPECT_EQ(R.hotKeys().totalOffered(), St.Hits + St.Inserts);
+  EXPECT_EQ(R.hotKeys().evictions(), 0u);
+  const auto Items = R.hotKeys().items();
+  ASSERT_EQ(Items.size(), NumKeys);
+  for (const auto &Item : Items) {
+    const size_t I = static_cast<size_t>(
+        std::find(Keys.begin(), Keys.end(), Item.Key) - Keys.begin());
+    ASSERT_LT(I, NumKeys);
+    uint64_t Want = 0;
+    for (size_t T = 0; T < Threads; ++T)
+      Want += Served[T][I];
+    EXPECT_EQ(Item.Count, Want) << Item.Key.describe();
+    EXPECT_EQ(Item.Error, 0u);
+  }
+}
+
+TEST(ServiceRegistry, SketchIsFedOnSampledOperationsOnly) {
+  // SampleEvery = 64: hits and admissions alike reach the sketch only
+  // on the 64th, 128th, ... operation of the calling thread, weighted
+  // 64. A fresh thread starts the thread-local sampling tick at zero,
+  // and every operation below finds or admits its key, so N operations
+  // offer exactly 64 * (N / 64).
+  constexpr uint64_t Ops = 64 * 37 + 21;
+  DividerRegistry::Options O = smallOptions(4, 64);
+  O.SampleEvery = 64;
+  DividerRegistry R(O);
+  std::thread([&] {
+    std::vector<bool> Resident(16, false);
+    uint64_t Rng = 0xfeed;
+    for (uint64_t Op = 0; Op < Ops; ++Op) {
+      const size_t I = splitmix(Rng) % Resident.size();
+      const Key K = keyFor<uint64_t>(1000 + I);
+      // Absent keys are admitted; resident ones take any path.
+      ASSERT_TRUE(mixedOp(R, K, Resident[I] ? splitmix(Rng) : 0));
+      Resident[I] = true;
+    }
+  }).join();
+
+  const cache::CacheStats St = R.stats();
+  EXPECT_EQ(St.Hits + St.Inserts, Ops);
+  EXPECT_EQ(St.Inserts, 16u);
+  EXPECT_EQ(R.hotKeys().totalOffered(), 64 * (Ops / 64));
+}
+
+//===----------------------------------------------------------------------===//
 // Eviction
 //===----------------------------------------------------------------------===//
 
